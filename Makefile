@@ -21,8 +21,12 @@ test:
 # tier1 is the gate every change must keep green.
 tier1: build test
 
+# vet also fails on any Go file gofmt would rewrite; hidden
+# directories (.git, benchmark build caches) are skipped.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 # Pre-build the race-instrumented packages so compilation of later
 # packages does not overlap running test binaries — the wall-clock

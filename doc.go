@@ -4,10 +4,10 @@
 // The module implements the paper's full framework and every substrate
 // its evaluation depends on:
 //
-//   - internal/recipes, internal/wfgen, internal/wfinstances: the
-//     WfCommons-equivalent generator pipeline (WfInstances -> WfChef ->
-//     WfGen) for the seven applications of the paper (Blast, BWA,
-//     Cycles, Epigenomics, Genomes, Seismology, Srasearch);
+//   - internal/recipes, internal/wfgen: the WfCommons-equivalent
+//     generator pipeline (WfChef-style recipes -> WfGen) for the seven
+//     applications of the paper (Blast, BWA, Cycles, Epigenomics,
+//     Genomes, Seismology, Srasearch);
 //   - internal/translator: the paper's Knative translator plus
 //     LocalContainer, Pegasus, Nextflow, and CNCF Serverless Workflow
 //     DSL outputs;

@@ -15,10 +15,10 @@ import (
 // countingGate is a TaskGate that enforces and records a concurrency
 // cap, and checks Acquire/Release stay balanced.
 type countingGate struct {
-	sem     chan struct{}
-	held    atomic.Int64
-	peak    atomic.Int64
-	grants  atomic.Int64
+	sem      chan struct{}
+	held     atomic.Int64
+	peak     atomic.Int64
+	grants   atomic.Int64
 	releases atomic.Int64
 }
 

@@ -377,7 +377,7 @@ type recovery struct {
 }
 
 // runState threads journaling, resume, and memoization context through
-// both run loops. A fresh, unjournaled, unmemoized run carries an
+// the run loop. A fresh, unjournaled, unmemoized run carries an
 // all-nil state; every accessor tolerates that.
 type runState struct {
 	rj        *runJournal
@@ -403,12 +403,6 @@ func (st *runState) memoizedID(id int32) bool {
 // journal recovery or by a memo-cache hit — and must not be invoked.
 func (st *runState) seededID(id int32) bool {
 	return st.recoveredID(id) || st.memoizedID(id)
-}
-
-// hasSeeds reports whether any task is pre-completed.
-func (st *runState) hasSeeds() bool {
-	return (st.rec != nil && len(st.rec.doneIDs) > 0) ||
-		(st.memo != nil && len(st.memo.hitIDs) > 0)
 }
 
 // seedIDs merges the recovered and memoized ID sets, ascending. The
@@ -442,7 +436,7 @@ func (st *runState) seedIDs() []int32 {
 	return append(out, b...)
 }
 
-// taskDone is the post-completion bookkeeping shared by both modes:
+// taskDone is the post-completion bookkeeping for every invoked task:
 // journal the outcome, feed the memo cache, then fire the
 // crash-injection / progress hook with the cumulative in-process
 // completion count.

@@ -148,27 +148,6 @@ func (ms *memoState) report() *MemoReport {
 	return r
 }
 
-// memoizedResult renders a cache-hit task as a TaskResult: completed by
-// an earlier run with identical content, never invoked here.
-func memoizedResult(p *invocationPlan, csr *dag.CSR, id int32) *TaskResult {
-	task := p.tasks[id]
-	return &TaskResult{
-		Name:     task.Name,
-		Category: task.Category,
-		Phase:    int(csr.Level(id)) + 1,
-		Memoized: true,
-	}
-}
-
-// seededResult renders a task that must not be re-invoked — recovered
-// from the journal or memoized from the cache.
-func seededResult(p *invocationPlan, csr *dag.CSR, st *runState, id int32) *TaskResult {
-	if st.recoveredID(id) {
-		return recoveredResult(p, csr, st, id)
-	}
-	return memoizedResult(p, csr, id)
-}
-
 // seedResults records every pre-completed task's result in one arena
 // allocation. On a fully-memoized 100k-task re-run this loop IS the
 // execution phase; per-task heap objects and their GC scan cost would

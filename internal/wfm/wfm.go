@@ -16,13 +16,14 @@
 // in-process Knative-like platform, the local-container baseline, or a
 // real endpoint.
 //
-// Two scheduling modes are provided (Options.Scheduling). SchedulePhases
-// is the paper's model described above and stays the default. With
-// ScheduleDependency the manager abandons phase barriers: a dag.Scheduler
-// tracks the ready frontier incrementally, a worker pool dispatches each
-// function the instant its parents complete and its inputs are on the
-// drive (woken by sharedfs change notification rather than polling), and
-// no inter-phase delay is inserted. The dependency guarantees and the
+// Both scheduling modes (Options.Scheduling) run on one event loop and
+// differ only in its release policy. SchedulePhases is the paper's model
+// described above and stays the default. With ScheduleDependency the
+// manager abandons phase barriers: a dag.Scheduler tracks the ready
+// frontier incrementally and releases each function the instant its
+// parents complete, the worker waits for its inputs on the drive (woken
+// by sharedfs change notification rather than polling), and no
+// inter-phase delay is inserted. The dependency guarantees and the
 // Result shape are identical; the dead time — straggler barriers plus
 // one fixed delay per DAG level — is gone.
 package wfm
@@ -38,7 +39,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"wfserverless/internal/dag"
@@ -515,13 +515,7 @@ func (m *Manager) run(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p
 		}
 	}
 
-	var res *Result
-	var err error
-	if m.opts.Scheduling == ScheduleDependency {
-		res, err = m.runDependency(ctx, w, csr, p, st)
-	} else {
-		res, err = m.runPhases(ctx, w, csr, p, st)
-	}
+	res, err := m.execute(ctx, w, csr, p, st)
 	if res != nil {
 		if rec != nil {
 			r := rec.report
@@ -627,10 +621,9 @@ func (m *Manager) stageHeader(p *invocationPlan, res *Result, start time.Time) e
 // are interned in sorted-name order, so the ascending-ID level slices
 // are already lexicographically sorted — identical to the Phases()
 // output the phase report used before the index-based hot path.
-func levelPhases(c *dag.CSR) [][]string {
-	slices := c.LevelSlices()
-	out := make([][]string, len(slices))
-	for i, ids := range slices {
+func levelPhases(c *dag.CSR, levels [][]int32) [][]string {
+	out := make([][]string, len(levels))
+	for i, ids := range levels {
 		names := make([]string, len(ids))
 		for j, id := range ids {
 			names[j] = c.Name(id)
@@ -638,22 +631,6 @@ func levelPhases(c *dag.CSR) [][]string {
 		out[i] = names
 	}
 	return out
-}
-
-// recoveredResult renders a journal-recovered task as a TaskResult:
-// completed in a previous process, never re-invoked here.
-func recoveredResult(p *invocationPlan, csr *dag.CSR, st *runState, id int32) *TaskResult {
-	task := p.tasks[id]
-	tr := &TaskResult{
-		Name:      task.Name,
-		Category:  task.Category,
-		Phase:     int(csr.Level(id)) + 1,
-		Recovered: true,
-	}
-	if st.rec != nil {
-		tr.Attempts = int(st.rec.attempts[id])
-	}
-	return tr
 }
 
 // traceReplay annotates the run's root span with journal context and,
@@ -687,198 +664,6 @@ func (m *Manager) traceMemo(root *obs.Span, st *runState) {
 	s.SetInt("memo_misses", st.memo.misses)
 	s.SetInt("skipped_output_bytes", int(st.memo.skipped))
 	s.Finish()
-}
-
-// runPhases is the paper's phase-barrier loop (Section III-C).
-func (m *Manager) runPhases(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p *invocationPlan, st *runState) (*Result, error) {
-	levels := csr.LevelSlices()
-	phases := levelPhases(csr)
-
-	res := &Result{
-		Workflow:   w.Name,
-		Scheduling: SchedulePhases,
-		Tasks:      make(map[string]*TaskResult, w.Len()+2),
-	}
-	start := time.Now()
-	record := func(tr *TaskResult) {
-		res.Tasks[tr.Name] = tr
-	}
-	rs := m.newResilience(start)
-	rs.health = st.health
-	rs.batch = m.newBatcher(ctx, p)
-	rs.batch.setHealth(st.health)
-	defer rs.batch.close()
-	// Breaker transitions belong in the Result on every exit path,
-	// including aborts and cancellations.
-	defer func() { res.Breakers = rs.take() }()
-	root, finishTrace := m.startRunTrace(w.Name, res)
-	defer finishTrace()
-	m.traceReplay(root, st)
-	m.traceMemo(root, st)
-	mon := m.opts.Monitor
-	mon.runStarted(w.Name, SchedulePhases, p.len())
-	if l := m.opts.Logger; l != nil {
-		l.Info("workflow run starting",
-			"workflow", w.Name, "tasks", p.len(), "phases", len(levels), "scheduling", SchedulePhases.String())
-	}
-	defer func() {
-		if l := m.opts.Logger; l != nil {
-			l.Info("workflow run finished",
-				"workflow", w.Name, "wall", res.Wall, "failed", len(res.Failed))
-		}
-	}()
-
-	// Header: stage external inputs so root functions find their data.
-	if err := m.stageHeader(p, res, start); err != nil {
-		return res, err
-	}
-
-	var sem chan struct{}
-	if m.opts.MaxParallel > 0 {
-		sem = make(chan struct{}, m.opts.MaxParallel)
-	}
-
-	var abort *PhaseError
-	for pi, level := range levels {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		// Partition the level: tasks the journal proved completed or the
-		// memo cache verified (outputs still on the drive either way) are
-		// recorded as recovered/memoized and never re-invoked; only the
-		// remainder dispatches.
-		toRun := level
-		if st.hasSeeds() {
-			toRun = make([]int32, 0, len(level))
-			for _, id := range level {
-				if st.seededID(id) {
-					record(seededResult(p, csr, st, id))
-				} else {
-					toRun = append(toRun, id)
-				}
-			}
-			if len(toRun) == 0 {
-				res.Phases = append(res.Phases, phases[pi])
-				continue
-			}
-		}
-		if l := m.opts.Logger; l != nil {
-			l.Debug("dispatching phase", "phase", pi+1, "tasks", len(toRun))
-		}
-		// Check that every input of the phase is on the shared drive,
-		// waiting briefly for stragglers from the previous phase.
-		if err := m.awaitInputs(ctx, p, toRun); err != nil {
-			if !m.opts.ContinueOnError {
-				return res, fmt.Errorf("wfm: phase %d: %w", pi+1, err)
-			}
-			// The phase still runs — its functions will fail their own
-			// input checks — but the run must record why, not drop it.
-			res.Warnings = append(res.Warnings, fmt.Sprintf("phase %d: %v", pi+1, err))
-		}
-
-		var wg sync.WaitGroup
-		// One contiguous allocation for the whole phase instead of one
-		// heap object per task — wide fan-out phases dispatch hundreds.
-		results := make([]TaskResult, len(toRun))
-		ready := time.Since(start)
-		mon.taskReady(len(toRun))
-		for i, id := range toRun {
-			wg.Add(1)
-			go func(tr *TaskResult, id int32) {
-				defer wg.Done()
-				if sem != nil {
-					sem <- struct{}{}
-					defer func() { <-sem }()
-				}
-				task := p.tasks[id]
-				tr.Name = task.Name
-				tr.Category = task.Category
-				tr.Phase = pi + 1
-				tr.Ready = ready
-				if g := m.opts.Gate; g != nil {
-					if err := g.Acquire(ctx); err != nil {
-						mon.taskStarted()
-						tr.Start = time.Since(start)
-						tr.End = tr.Start
-						tr.Err = err
-						st.taskDone(id, p, tr)
-						mon.taskFinished(0, true)
-						return
-					}
-					defer g.Release()
-				}
-				ts := m.opts.Tracer.StartChildOf(root, task.Name)
-				ts.SetStart(start.Add(ready))
-				if st.memo != nil {
-					ts.SetAttr("memo_hit", "false")
-				}
-				mon.taskStarted()
-				st.rj.taskStarted(id)
-				st.health.taskStarted(task)
-				tr.Start = time.Since(start)
-				tr.Response, tr.Attempts, tr.Err = m.invoke(ctx, p, id, rs, ts)
-				tr.End = time.Since(start)
-				st.taskDone(id, p, tr)
-				mon.taskFinished(tr.End-tr.Start, tr.Err != nil)
-				m.finishTaskSpan(ts, tr)
-			}(&results[i], id)
-		}
-		wg.Wait()
-
-		var failed []string
-		var errs []error
-		for i := range results {
-			tr := &results[i]
-			record(tr)
-			if tr.Err != nil {
-				failed = append(failed, tr.Name)
-				errs = append(errs, tr.Err)
-				if l := m.opts.Logger; l != nil {
-					l.Warn("task failed", "task", tr.Name, "phase", tr.Phase,
-						"attempts", tr.Attempts, "err", tr.Err)
-				}
-			}
-		}
-		res.Phases = append(res.Phases, phases[pi])
-		if len(failed) > 0 {
-			sort.Strings(failed)
-			res.Failed = append(res.Failed, failed...)
-			abort = &PhaseError{Phase: pi + 1, Failed: failed, Errs: errs}
-			if !m.opts.ContinueOnError {
-				break
-			}
-			abort = nil
-		}
-
-		// The paper's brief inter-phase delay, skipped after the last
-		// phase.
-		if pi < len(phases)-1 {
-			select {
-			case <-ctx.Done():
-				return res, ctx.Err()
-			case <-time.After(m.scaled(m.opts.PhaseDelay)):
-			}
-		}
-	}
-
-	tail := &TaskResult{
-		Name: TailName, Category: "tail",
-		Phase: len(phases) + 1,
-		Start: time.Since(start), End: time.Since(start),
-	}
-	record(tail)
-	res.Phases = append(res.Phases, []string{TailName})
-
-	res.Wall = time.Since(start)
-	res.Makespan = res.Wall.Seconds() / m.opts.TimeScale
-	if abort != nil {
-		return res, abort
-	}
-	if len(res.Failed) > 0 {
-		sort.Strings(res.Failed)
-		return res, fmt.Errorf("wfm: %d function(s) failed: %v", len(res.Failed), res.Failed)
-	}
-	return res, nil
 }
 
 // awaitInputs waits until every input file of the phase's functions is
